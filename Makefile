@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check api-check api-update bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke ci
+.PHONY: build test race vet fmt-check api-check api-update bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier goldens-check sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,21 @@ bench-scenario:
 bench-frontier:
 	$(GO) run ./cmd/ltbench -frontierjson BENCH_frontier.json
 
+# Golden gate: regenerate the deterministic BENCH files (policy matrix,
+# limited-power sweep, scenario matrix) into a temporary directory and
+# compare them byte for byte with the committed ones, so a behaviour change
+# cannot land without its re-recorded golden. BENCH_frontier.json takes
+# minutes to regenerate and is left to `make bench-frontier`.
+goldens-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/ltbench ./cmd/ltbench && \
+	$$tmp/ltbench -schedjson $$tmp/BENCH_sched.json > /dev/null && \
+	$$tmp/ltbench -powerjson $$tmp/BENCH_power.json > /dev/null && \
+	$$tmp/ltbench -scenariojson $$tmp/BENCH_scenario.json -parallel 0 > /dev/null && \
+	for f in BENCH_sched.json BENCH_power.json BENCH_scenario.json; do \
+		cmp $$tmp/$$f $$f || exit 1; \
+	done
+
 # The signal fan-out experiment: propagation percentiles and conflation
 # drops at 1k/10k/100k subscribers, the 1→8 shard sweep (modelled
 # throughput), and the faultnet chaos scenario, archived as JSON. See
@@ -85,10 +100,11 @@ bench-smoke:
 
 # One iteration of each tick-path benchmark plus the zero-allocation
 # regression tests over the hot path (decode-into, book ops, snapshot,
-# histogram record, end-to-end tick): allocation creep fails CI here.
+# histogram record, end-to-end tick, scheduling-engine admit/retire/
+# redistribute): allocation creep fails CI here.
 bench-tickpath:
 	$(GO) test -run='ZeroAlloc' -bench=. -benchtime=1x \
-		./internal/sbe/ ./internal/lob/ ./internal/latency/ ./internal/core/
+		./internal/sbe/ ./internal/lob/ ./internal/latency/ ./internal/core/ ./internal/sched/
 
 # Policy-matrix smoke: the full scheduler registry × three workloads over a
 # small trace via bench.RunMatrix, checked byte-identical across worker
@@ -155,6 +171,6 @@ fuzz-smoke:
 # smoke (chaos-matrix shape plus the three-way sim/serve/venue scenario
 # differential and the degraded-mode trader regressions), the frontier
 # smoke (zoo training/pricing, degrade-ladder invariants and the
-# model-switch allocation gate), and a short fuzz pass over the wire
-# decoders.
-ci: fmt-check vet build api-check race bench-smoke bench-tickpath sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke
+# model-switch allocation gate), the golden gate over the deterministic
+# BENCH files, and a short fuzz pass over the wire decoders.
+ci: fmt-check vet build api-check race bench-smoke bench-tickpath sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke goldens-check fuzz-smoke

@@ -159,29 +159,7 @@ func runSimPower(name string, tc TrafficConfig) PowerRow {
 // deterministic multi-lane inline replay (modelled clock, one lane per
 // instrument), with the power governor on or off.
 func runServePower(name string, tc TrafficConfig, governor bool) PowerRow {
-	cfg := powerSystemConfig()
-	qs := tc.Queries()
-	packets := powerFeed(len(qs), powerLanes)
-	srv, err := serve.New(powerMulti(powerLanes), serve.Config{
-		Lanes:                powerLanes,
-		Inline:               true,
-		ModelledClock:        true,
-		MaxQueue:             64,
-		Sched:                &cfg.Sched,
-		TAvailNanos:          tc.TAvailNanos,
-		PrePipelineNanos:     cfg.PrePipelineNanos,
-		DisablePowerGovernor: !governor,
-	})
-	if err != nil {
-		panic(err)
-	}
-	for i, q := range qs {
-		if err := srv.Submit(q.ArrivalNanos, packets[i]); err != nil {
-			panic(err) // engine-generated packets always parse
-		}
-	}
-	srv.Drain()
-	st := srv.Stats()
+	st := replayServePower(tc, governor, nil).Stats()
 	engine := "serve"
 	if !governor {
 		engine = "serve-nogov"
@@ -194,6 +172,35 @@ func runServePower(name string, tc TrafficConfig, governor bool) PowerRow {
 		Saves: st.DVFSSaves, Redistributes: st.DVFSRedistributes,
 		Rescues: st.PowerSaveRescues, MaxPowerWatts: st.MaxPowerWatts,
 	}
+}
+
+// replayServePower runs runServePower's replay with an optional probe and
+// returns the drained server.
+func replayServePower(tc TrafficConfig, governor bool, probe sim.Probe) *serve.Server {
+	cfg := powerSystemConfig()
+	qs := tc.Queries()
+	packets := powerFeed(len(qs), powerLanes)
+	srv, err := serve.New(powerMulti(powerLanes), serve.Config{
+		Lanes:                powerLanes,
+		Inline:               true,
+		ModelledClock:        true,
+		MaxQueue:             64,
+		Sched:                &cfg.Sched,
+		TAvailNanos:          tc.TAvailNanos,
+		PrePipelineNanos:     cfg.PrePipelineNanos,
+		DisablePowerGovernor: !governor,
+		Probe:                probe,
+	})
+	if err != nil {
+		panic(err)
+	}
+	for i, q := range qs {
+		if err := srv.Submit(q.ArrivalNanos, packets[i]); err != nil {
+			panic(err) // engine-generated packets always parse
+		}
+	}
+	srv.Drain()
+	return srv
 }
 
 // PowerSweep runs the three traffic regimes through all three engines.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"lighttrader/internal/core"
@@ -87,6 +88,28 @@ func TestSimServeLimitedPowerDifferential(t *testing.T) {
 	if st.DeferredPower != attr.DeferredPower {
 		t.Errorf("deferred-power: serve %d, sim %d", st.DeferredPower, attr.DeferredPower)
 	}
+	// Both hosts drive one engine, so its DVFS actions and its draw
+	// high-water mark agree too.
+	for _, c := range []struct {
+		reason     sim.DVFSReason
+		serve      int
+		nonVacuous bool
+	}{
+		{sim.DVFSSave, st.DVFSSaves, false}, // N=1: no sibling to scale down
+		{sim.DVFSRedistribute, st.DVFSRedistributes, true},
+		{sim.DVFSPark, st.DVFSParks, true},
+	} {
+		n := tr.DVFSTransitions(c.reason)
+		if c.serve != n {
+			t.Errorf("%v transitions: serve %d, sim %d", c.reason, c.serve, n)
+		}
+		if c.nonVacuous && n == 0 {
+			t.Errorf("vacuous differential: no %v transition occurred", c.reason)
+		}
+	}
+	if st.MaxPowerWatts != sys.MaxObservedPowerWatts() {
+		t.Errorf("max draw: serve %v W, sim %v W", st.MaxPowerWatts, sys.MaxObservedPowerWatts())
+	}
 
 	// Non-vacuity: the trace must actually exercise service and both
 	// Algorithm-1 drop causes, or the agreement above proves nothing.
@@ -135,3 +158,95 @@ func TestGovernorRecoversDeferredPowerDrops(t *testing.T) {
 	t.Logf("recovery: status quo %.2f%% response (%d deferred-power), governor %.2f%% (%d), %d rescues",
 		100*nogov.ResponseRate, nogov.DeferredPower, 100*gov.ResponseRate, gov.DeferredPower, gov.Rescues)
 }
+
+// TestServeModelledCompletionsAreFinal pins serve's modelled completions to
+// the engine's retire: in the 8-lane power-sweep replays every
+// QueryComplete carries its batch's final completion — the issue-time
+// projection moved by every DVFS retime the batch received in flight —
+// and ModelledBusyNanos sums Σ(done − issue − pre) over those batches.
+// Batches retimed after they were processed must occur, or the check
+// proves nothing.
+func TestServeModelledCompletionsAreFinal(t *testing.T) {
+	for _, w := range schedWorkloads(PowerTraffic().Scale(3000)) {
+		c := &completionCheck{lanes: make([]flightBatch, powerLanes)}
+		srv := replayServePower(w.TC, true, c)
+		if c.mismatches > 0 {
+			t.Errorf("%s: %d completions off their batch's final completion, first: %s",
+				w.Name, c.mismatches, c.first)
+		}
+		var sum int64
+		for _, n := range srv.ModelledBusyNanos() {
+			sum += n
+		}
+		pre := powerSystemConfig().PrePipelineNanos
+		if want := c.serviceNanos - int64(c.batches)*pre; sum != want {
+			t.Errorf("%s: ΣModelledBusyNanos = %d, Σ(done − issue − pre) = %d", w.Name, sum, want)
+		}
+		if c.retimedLater == 0 {
+			t.Errorf("%s: vacuous: no batch was retimed after it was processed", w.Name)
+		}
+		t.Logf("%s: %d batches, %d retimed after processing", w.Name, c.batches, c.retimedLater)
+	}
+}
+
+// flightBatch is one lane's in-flight batch as the probe stream shows it.
+type flightBatch struct {
+	issued, done        int64
+	issues, completes   int
+	retimedAfterProcess bool
+}
+
+// completionCheck follows each lane's batch through its issue, DVFS retime
+// and completion events and checks every completion against the batch's
+// projected completion with all retimes applied.
+type completionCheck struct {
+	lanes        []flightBatch
+	serviceNanos int64 // Σ(done − issue) over completed batches
+	batches      int
+	retimedLater int
+	mismatches   int
+	first        string
+}
+
+func (c *completionCheck) OnQueryEvent(e sim.QueryEvent) {
+	switch e.Kind {
+	case sim.QueryIssue:
+		b := &c.lanes[e.Accel]
+		if b.issues == 0 {
+			*b = flightBatch{issued: e.TimeNanos, done: e.DoneNanos, issues: e.Batch}
+		}
+		b.issues--
+	case sim.QueryComplete:
+		b := &c.lanes[e.Accel]
+		if b.completes == 0 {
+			b.completes = e.Batch
+			c.batches++
+			c.serviceNanos += e.DoneNanos - b.issued
+			if b.retimedAfterProcess {
+				c.retimedLater++
+			}
+		}
+		b.completes--
+		if e.DoneNanos != b.done {
+			if c.mismatches == 0 {
+				c.first = fmt.Sprintf("query %d done %d ns, batch final %d ns", e.Query.ID, e.DoneNanos, b.done)
+			}
+			c.mismatches++
+		}
+	}
+}
+
+func (c *completionCheck) OnDVFSEvent(e sim.DVFSEvent) {
+	if e.Reason != sim.DVFSSave && e.Reason != sim.DVFSRedistribute {
+		return
+	}
+	b := &c.lanes[e.Accel]
+	b.done += e.RetimedNanos
+	// Inline replay processes a batch at its issue instant, so a retime at
+	// a later instant came from another lane's event after processing.
+	if e.TimeNanos > b.issued {
+		b.retimedAfterProcess = true
+	}
+}
+
+func (c *completionCheck) OnSample(sim.Sample) {}

@@ -11,6 +11,7 @@ package cgra
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Spec describes one accelerator's hardware configuration.
@@ -110,15 +111,49 @@ func (s Spec) VoltageAt(freqGHz float64) float64 {
 }
 
 // DVFSTable enumerates the operating points the scheduler may select,
-// 0.1 GHz apart across the envelope (lowest first).
+// 0.1 GHz apart across the envelope (lowest first). Tables are memoised per
+// envelope, so the scheduling hot path walks them without allocating; the
+// returned slice is shared and must not be modified.
 func (s Spec) DVFSTable() []DVFSState {
+	env := dvfsEnvelope{s.MinFreqGHz, s.MaxFreqGHz, s.MinVolt, s.MaxVolt}
+	var cached []dvfsTable
+	if p := dvfsTables.Load(); p != nil {
+		cached = *p
+		for _, c := range cached {
+			if c.env == env {
+				return c.table
+			}
+		}
+	}
 	var table []DVFSState
 	for f := s.MinFreqGHz; f <= s.MaxFreqGHz+1e-9; f += 0.1 {
 		fr := math.Round(f*10) / 10
 		table = append(table, DVFSState{FreqGHz: fr, Volt: s.VoltageAt(fr)})
 	}
+	table = table[:len(table):len(table)] // appends by callers copy
+	if len(cached) < maxDVFSTables {
+		// Copy-on-write: a racing builder may drop this entry, which only
+		// costs a rebuild later.
+		next := append(append(make([]dvfsTable, 0, len(cached)+1), cached...), dvfsTable{env, table})
+		dvfsTables.Store(&next)
+	}
 	return table
 }
+
+// dvfsEnvelope is what a DVFS table depends on: the frequency range and the
+// voltage curve's end points.
+type dvfsEnvelope struct{ minF, maxF, minV, maxV float64 }
+
+type dvfsTable struct {
+	env   dvfsEnvelope
+	table []DVFSState
+}
+
+// dvfsTables is the DVFSTable memo, read lock-free. It holds at most
+// maxDVFSTables envelopes; specs beyond that are rebuilt on every call.
+var dvfsTables atomic.Pointer[[]dvfsTable]
+
+const maxDVFSTables = 16
 
 // Power model calibration. Dynamic power is k·V²·f·(a0 + a1·activity) and
 // leakage scales with V²; k is chosen so that the top DVFS state at full

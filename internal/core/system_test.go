@@ -5,6 +5,7 @@ import (
 
 	"lighttrader/internal/feed"
 	"lighttrader/internal/nn"
+	"lighttrader/internal/sched"
 	"lighttrader/internal/sim"
 )
 
@@ -274,5 +275,61 @@ func TestDVFSSchedulingSavesEnergy(t *testing.T) {
 	ds := sim.Run(queries, mustSystem(t, nn.NewTransLOB(), 8, Limited, Options{DVFSScheduling: true}))
 	if ds.EnergyJoules >= static.EnergyJoules*0.8 {
 		t.Fatalf("DS energy %.1f J not well below static %.1f J", ds.EnergyJoules, static.EnergyJoules)
+	}
+}
+
+// TestSaveRuleSkipsDeadlineInfeasible pins Algorithm 2's saving step to
+// power-infeasible decisions. At N=2 a query arrives whose deadline no
+// operating point can meet while the sibling accelerator runs a batch with
+// ample slack: freeing power cannot rescue the query, so the sibling must
+// not be scaled down (no sim.DVFSSave) and its completion must match a run
+// without the infeasible query.
+func TestSaveRuleSkipsDeadlineInfeasible(t *testing.T) {
+	sys := mustSystem(t, nn.NewDeepLOB(), 2, Limited,
+		Options{WorkloadScheduling: true, DVFSScheduling: true})
+	tmin := sys.cfg.Sched.MinTotalNanos()
+	long := sim.Query{ID: 1, ArrivalNanos: 0, DeadlineNanos: 20 * tmin}
+	const at = 1_000 // the infeasible query arrives while the sibling is busy
+	doomed := sim.Query{ID: 2, ArrivalNanos: at, DeadlineNanos: at + tmin/2}
+
+	run := func(qs ...sim.Query) (*sim.Tracer, sim.QueryEvent) {
+		tr := sim.NewTracer()
+		sim.RunWithOptions(qs, sys, sim.WithProbe(tr))
+		for _, e := range tr.QueryEvents() {
+			if e.Kind == sim.QueryComplete && e.Query.ID == long.ID {
+				return tr, e
+			}
+		}
+		t.Fatal("the long-deadline query never completed")
+		return nil, sim.QueryEvent{}
+	}
+	_, alone := run(long)
+	tr, withDoomed := run(long, doomed)
+
+	if got := tr.Attribution().DeferredDeadline; got != 1 {
+		t.Fatalf("DeferredDeadline = %d, want the doomed query deferred", got)
+	}
+	if n := tr.DVFSTransitions(sim.DVFSSave); n != 0 {
+		t.Errorf("%d DVFSSave transitions on a deadline-infeasible decision, want 0", n)
+	}
+	if withDoomed.DoneNanos != alone.DoneNanos {
+		t.Errorf("sibling completion moved %d -> %d ns by a deadline-infeasible decision",
+			alone.DoneNanos, withDoomed.DoneNanos)
+	}
+
+	// Non-vacuity: the saving step would have scaled the sibling down.
+	state := sys.cfg.Sched.Spec.DVFSTable()[0]
+	for _, e := range tr.DVFSEvents() {
+		if e.Accel == 0 && e.TimeNanos <= at {
+			for _, d := range sys.cfg.Sched.Spec.DVFSTable() {
+				if d.FreqGHz == e.ToGHz {
+					state = d
+				}
+			}
+		}
+	}
+	view := sched.BusyViewAt(0, state, 1, long.DeadlineNanos, alone.DoneNanos, at)
+	if len(sched.SavePower(&sys.cfg.Sched, []sched.BusyAccel{view}, nil)) == 0 {
+		t.Fatal("vacuous: the sibling had no slack for the saving step to use")
 	}
 }

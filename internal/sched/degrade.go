@@ -60,11 +60,8 @@ func Degrade(tiers []ModelTier, ctx SchedContext) (Decision, bool) {
 // VerdictDegradedModel/Decision.Tier set. A full-model-feasible query is
 // therefore never degraded, and VerdictNoQueue passes straight through.
 //
-// Only tier-aware engines may run a DegradingScheduler: the consumer must
-// honour VerdictDegradedModel as an issue against Decision.Tier's cost
-// model. The serving runtime is tier-aware through serve.Config.Tiers (its
-// governor interleaves Algorithm 2's power-saving retry between the base
-// decision and the ladder); the offline simulator is not.
+// Engine.Admit does not run a DegradingScheduler as a policy: it walks the
+// ladder itself (serve.Config.Tiers), after Algorithm 2's saving retry.
 type DegradingScheduler struct {
 	base  Scheduler
 	tiers []ModelTier

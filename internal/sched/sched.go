@@ -4,7 +4,7 @@
 // batch under deadline and power constraints) and DVFS scheduling
 // (Algorithm 2: redistributing the residual power budget across busy
 // accelerators by marginal PPW). The functions are pure decision logic;
-// package core owns the runtime state they act on.
+// Engine (engine.go) owns the per-accelerator state they act on.
 package sched
 
 import (
@@ -293,12 +293,8 @@ type BusyAccel struct {
 
 // BusyViewAt assembles Algorithm 2's view of one busy accelerator from
 // engine-side state: the in-flight batch size, the earliest deadline inside
-// the batch, the projected completion time, and the decision instant. Both
-// engines (the offline simulator's accelerator array and the serving
-// runtime's power governor) build their views through it so the
-// slack/remaining conventions cannot drift apart. Remaining time clamps at
-// zero: an online engine can observe a lane whose modelled completion lies
-// before its own decision instant.
+// the batch, the projected completion time, and the decision instant.
+// Remaining time clamps at zero.
 func BusyViewAt(id int, d cgra.DVFSState, batch int, minDeadlineNanos, doneNanos, nowNanos int64) BusyAccel {
 	remaining := doneNanos - nowNanos
 	if remaining < 0 {
@@ -332,9 +328,10 @@ func (c *Config) RetimedRemainingNanos(remaining int64, from, to cgra.DVFSState)
 // accelerator down to the slowest state that still meets its in-flight
 // deadline, freeing budget before a new issue. Lowering the state stretches
 // the remaining time by the frequency ratio and stalls for the switch
-// delay, both of which must fit in the accelerator's slack.
-func SavePower(cfg *Config, busy []BusyAccel) []Change {
-	var changes []Change
+// delay, both of which must fit in the accelerator's slack. The result
+// reuses changes' storage (pass nil for a fresh slice).
+func SavePower(cfg *Config, busy []BusyAccel, changes []Change) []Change {
+	changes = changes[:0]
 	table := cfg.Spec.DVFSTable()
 	for _, a := range busy {
 		best := a.DVFS
@@ -360,23 +357,18 @@ func SavePower(cfg *Config, busy []BusyAccel) []Change {
 // Redistribute implements Algorithm 2: while unallocated power remains,
 // raise the DVFS state of the busy accelerator whose upgrade yields the
 // highest marginal PPW change (ppw_inc), fully consuming the constrained
-// power to minimise the miss rate under bursty traffic.
-func Redistribute(cfg *Config, busy []BusyAccel, powerAvail float64) []Change {
+// power to minimise the miss rate under bursty traffic. Successive upgrades
+// of one accelerator coalesce into a single change. The result reuses
+// changes' storage (pass nil for a fresh slice).
+func Redistribute(cfg *Config, busy []BusyAccel, powerAvail float64, changes []Change) []Change {
+	changes = changes[:0]
 	table := cfg.Spec.DVFSTable()
-	state := make(map[int]cgra.DVFSState, len(busy))
-	batch := make(map[int]int, len(busy))
-	for _, a := range busy {
-		state[a.ID] = a.DVFS
-		batch[a.ID] = a.Batch
-	}
-	var changes []Change
 	for {
-		bestID := -1
+		best := -1
 		var bestState cgra.DVFSState
 		bestInc := 0.0
-		first := true
-		for _, a := range busy {
-			cur := state[a.ID]
+		for k, a := range busy {
+			cur := stateAfter(changes, a)
 			next, ok := nextState(table, cur)
 			if !ok {
 				continue
@@ -388,39 +380,47 @@ func Redistribute(cfg *Config, busy []BusyAccel, powerAvail float64) []Change {
 			if powerInc > powerAvail+PowerEps {
 				continue
 			}
-			ppwInc := cfg.PPW(next, batch[a.ID]) - cfg.PPW(cur, batch[a.ID])
-			if first || ppwInc > bestInc {
-				first = false
+			ppwInc := cfg.PPW(next, a.Batch) - cfg.PPW(cur, a.Batch)
+			if best < 0 || ppwInc > bestInc {
 				bestInc = ppwInc
-				bestID = a.ID
+				best = k
 				bestState = next
 			}
 		}
-		if bestID < 0 {
+		if best < 0 {
 			return changes
 		}
-		powerAvail -= cfg.BusyPower(bestState) - cfg.BusyPower(state[bestID])
-		state[bestID] = bestState
-		// Coalesce successive upgrades of the same accelerator.
-		replaced := false
-		for i := range changes {
-			if changes[i].ID == bestID {
-				changes[i].DVFS = bestState
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			changes = append(changes, Change{ID: bestID, DVFS: bestState})
+		a := busy[best]
+		powerAvail -= cfg.BusyPower(bestState) - cfg.BusyPower(stateAfter(changes, a))
+		changes = setChange(changes, a.ID, bestState)
+	}
+}
+
+// stateAfter returns a's operating point with the pending changes applied.
+func stateAfter(changes []Change, a BusyAccel) cgra.DVFSState {
+	for _, ch := range changes {
+		if ch.ID == a.ID {
+			return ch.DVFS
 		}
 	}
+	return a.DVFS
+}
+
+// setChange records id's target state, replacing an earlier change to it.
+func setChange(changes []Change, id int, d cgra.DVFSState) []Change {
+	for i := range changes {
+		if changes[i].ID == id {
+			changes[i].DVFS = d
+			return changes
+		}
+	}
+	return append(changes, Change{ID: id, DVFS: d})
 }
 
 // nextState returns the table entry one step above cur.
 func nextState(table []cgra.DVFSState, cur cgra.DVFSState) (cgra.DVFSState, bool) {
-	for i, d := range table {
+	for _, d := range table {
 		if d.FreqGHz > cur.FreqGHz+1e-9 {
-			_ = i
 			return d, true
 		}
 	}

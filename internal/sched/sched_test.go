@@ -167,14 +167,14 @@ func TestSavePowerRespectsSlack(t *testing.T) {
 	// Huge slack: scale down.
 	changes := SavePower(cfg, []BusyAccel{{
 		ID: 0, DVFS: top, Batch: 1, SlackNanos: 100_000_000, RemainingNanos: 100_000,
-	}})
+	}}, nil)
 	if len(changes) != 1 || changes[0].DVFS.FreqGHz >= top.FreqGHz {
 		t.Fatalf("no downscale with huge slack: %+v", changes)
 	}
 	// No slack: must not scale down.
 	changes = SavePower(cfg, []BusyAccel{{
 		ID: 0, DVFS: top, Batch: 1, SlackNanos: 1_000, RemainingNanos: 100_000,
-	}})
+	}}, nil)
 	if len(changes) != 0 {
 		t.Fatalf("downscaled with no slack: %+v", changes)
 	}
@@ -188,7 +188,7 @@ func TestRedistributeConsumesBudget(t *testing.T) {
 		{ID: 1, DVFS: low, Batch: 1, SlackNanos: 1 << 40, RemainingNanos: 100_000},
 	}
 	// Generous residual budget: both accelerators should end at the top.
-	changes := Redistribute(cfg, busy, 50)
+	changes := Redistribute(cfg, busy, 50, nil)
 	if len(changes) != 2 {
 		t.Fatalf("changes = %+v", changes)
 	}
@@ -198,11 +198,11 @@ func TestRedistributeConsumesBudget(t *testing.T) {
 		}
 	}
 	// No residual budget: no change.
-	if changes := Redistribute(cfg, busy, 0.01); len(changes) != 0 {
+	if changes := Redistribute(cfg, busy, 0.01, nil); len(changes) != 0 {
 		t.Fatalf("redistributed with no budget: %+v", changes)
 	}
 	// A small budget upgrades at most partially.
-	changes = Redistribute(cfg, busy, 1.0)
+	changes = Redistribute(cfg, busy, 1.0, nil)
 	var totalInc float64
 	for _, ch := range changes {
 		totalInc += cfg.BusyPower(ch.DVFS) - cfg.BusyPower(low)
@@ -301,7 +301,7 @@ func TestQuickRedistributeBudget(t *testing.T) {
 			before += cfg.BusyPower(d)
 		}
 		budget := float64(budgetCenti) / 100
-		changes := Redistribute(cfg, busy, budget)
+		changes := Redistribute(cfg, busy, budget, nil)
 		after := before
 		for _, ch := range changes {
 			after += cfg.BusyPower(ch.DVFS) - cfg.BusyPower(busy[ch.ID].DVFS)
@@ -326,7 +326,7 @@ func TestQuickSavePowerOnlyDown(t *testing.T) {
 		d := table[int(stateIdx)%len(table)]
 		a := BusyAccel{ID: 0, DVFS: d, Batch: 1,
 			SlackNanos: int64(slackMicros) * 1000, RemainingNanos: int64(remMicros) * 1000}
-		for _, ch := range SavePower(cfg, []BusyAccel{a}) {
+		for _, ch := range SavePower(cfg, []BusyAccel{a}, nil) {
 			if ch.DVFS.FreqGHz >= d.FreqGHz {
 				return false
 			}

@@ -1,10 +1,8 @@
 package sched
 
-// The pluggable scheduling strategy seam. Both execution engines — the
-// offline event simulator (internal/core) and the online serving lanes
-// (internal/serve) — drive their accelerators through a Scheduler: the
-// engine owns queues, accelerator state and the power meter, and asks the
-// strategy one question per idle accelerator: given what you can observe,
+// The pluggable scheduling strategy seam. Engine (engine.go) asks the
+// strategy one question per idle accelerator for both of its hosts, the
+// offline simulator and the serving lanes: given what you can observe,
 // what should this accelerator do now? Algorithm 1 (the paper's proactive
 // PPW scheduler) is the default implementation; the baselines in
 // policies.go and the learned scheduler in qlearn.go are the competitive
@@ -47,8 +45,7 @@ type SchedContext struct {
 	// owns its own queue.
 	IdleAccels int
 	// Busy is the engine's view of the non-idle accelerators (Algorithm 2's
-	// input). May be nil when the engine has no cross-accelerator view
-	// (serving lanes) or nothing is busy.
+	// input); nil or empty when nothing is busy.
 	Busy []BusyAccel
 }
 
@@ -109,8 +106,6 @@ func (s *PPWScheduler) Decide(ctx SchedContext) Decision {
 }
 
 // DeferCause maps a verdict onto the sim probe's miss-attribution taxonomy.
-// It is the single source of the mapping for both engines (the simulator
-// and the serving lanes previously carried one copy each).
 func (v Verdict) DeferCause() sim.DeferCause {
 	switch v {
 	case VerdictDeadlineInfeasible:

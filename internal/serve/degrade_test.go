@@ -72,7 +72,7 @@ func TestDegradeLadderAdmitsInfeasible(t *testing.T) {
 	if !ok || tierGot != 0 || len(batch) != 1 {
 		t.Fatalf("feasible take = (%d queries, tier %d, ok=%v), want tier-0 issue", len(batch), tierGot, ok)
 	}
-	l.process(batch, issue, tierGot, 1_000)
+	l.process(batch, tierGot, 1_000)
 	if st := srv.Stats(); st.Degrades != 0 || len(probe.degrades) != 0 {
 		t.Fatalf("full-model-feasible query degraded: %+v", st)
 	}
@@ -91,7 +91,7 @@ func TestDegradeLadderAdmitsInfeasible(t *testing.T) {
 	if want := tier.TotalNanos(issue.DVFS, 1); issue.TotalNanos != want {
 		t.Fatalf("degraded issue timed %d ns, want the tier's %d ns", issue.TotalNanos, want)
 	}
-	l.process(batch, issue, tierGot, takeNow)
+	l.process(batch, tierGot, takeNow)
 	if l.curTier != 1 {
 		t.Fatalf("pipelines left on tier %d after degraded dispatch, want 1", l.curTier)
 	}
@@ -232,11 +232,11 @@ func TestModelSwitchPathNoAllocs(t *testing.T) {
 	p.SetModelLadder([]*nn.Model{nil})
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		res := srv.gov.admit(l.id, now, 1, mid, l.policy, l.tiers, l.deadlineFn, false)
-		if res.verdict != sched.VerdictDegradedModel || res.tier != 1 {
-			t.Fatalf("admit = verdict %v tier %d, want a tier-1 degrade", res.verdict, res.tier)
+		res := srv.gov.admit(l, now, 1, mid, false)
+		if res.Verdict != sched.VerdictDegradedModel || res.Tier != 1 {
+			t.Fatalf("admit = verdict %v tier %d, want a tier-1 degrade", res.Verdict, res.Tier)
 		}
-		p.SetActiveTier(res.tier)
+		p.SetActiveTier(res.Tier)
 		p.SetActiveTier(0)
 	})
 	if allocs != 0 {

@@ -9,6 +9,8 @@ import (
 	"lighttrader/internal/core"
 	"lighttrader/internal/nn"
 	"lighttrader/internal/sbe"
+	"lighttrader/internal/sched"
+	"lighttrader/internal/sim"
 )
 
 // bareServer builds a Server skeleton around one directly-drivable lane, so
@@ -16,17 +18,25 @@ import (
 // data or worker goroutines.
 func bareServer(t *testing.T, cfg Config) (*Server, *lane) {
 	t.Helper()
+	srv := bareLanes(cfg, 1)
+	return srv, srv.lanes[0]
+}
+
+// bareLanes is bareServer with n lanes.
+func bareLanes(cfg Config, n int) *Server {
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = 64
 	}
 	srv := &Server{cfg: cfg, stats: &stats{}, probe: newLockedProbe(cfg.Probe)}
-	srv.gov = newGovernor(srv, cfg.Sched, 1)
-	l := newLane(0, srv)
-	srv.lanes = []*lane{l}
-	// A fixed-capacity backing array keeps every slot inspectable: the
-	// retention checks below read vacated slots through it.
-	l.queue = make([]query, 0, 64)
-	return srv, l
+	srv.gov = newGovernor(srv, cfg.Sched, n)
+	for i := 0; i < n; i++ {
+		l := newLane(i, srv)
+		// A fixed-capacity backing array keeps every slot inspectable: the
+		// retention checks below read vacated slots through it.
+		l.queue = make([]query, 0, 64)
+		srv.lanes = append(srv.lanes, l)
+	}
+	return srv
 }
 
 // mkQuery returns a query whose packet is distinguishable from the zero value.
@@ -118,11 +128,11 @@ func TestLatencyRecordsPerQueryShare(t *testing.T) {
 		l.enqueue(mkQuery(int64(i), int64(i), 1<<40))
 	}
 	start := time.Now()
-	batch, issue, tier, now, ok := l.take(false)
+	batch, _, tier, now, ok := l.take(false)
 	if !ok || len(batch) != K {
 		t.Fatalf("take = %d queries, ok=%v; want %d, true", len(batch), ok, K)
 	}
-	l.process(batch, issue, tier, now)
+	l.process(batch, tier, now)
 	wall := time.Since(start).Nanoseconds()
 
 	if got := l.lat.Count(); got != K {
@@ -240,5 +250,52 @@ func TestGovernorPowerCapProperty(t *testing.T) {
 	}
 	if int(switches) != st.DVFSSwitches {
 		t.Errorf("per-lane switches sum %d != aggregate %d", switches, st.DVFSSwitches)
+	}
+}
+
+// TestGovernorSaveRuleSkipsDeadlineInfeasible is the serving half of
+// core's TestSaveRuleSkipsDeadlineInfeasible, on two inline lanes under the
+// modelled clock: lane 0 runs a query with ample slack when lane 1 gets one
+// no operating point can serve in time. Freeing power cannot rescue it, so
+// lane 0 must not be scaled down and must complete when first projected.
+func TestGovernorSaveRuleSkipsDeadlineInfeasible(t *testing.T) {
+	syscfg, err := core.Configure(nn.NewDeepLOB(), 2, core.Limited,
+		core.Options{WorkloadScheduling: true, DVFSScheduling: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := sim.NewTracer()
+	srv := bareLanes(Config{
+		Inline: true, ModelledClock: true, Sched: &syscfg.Sched,
+		PrePipelineNanos: core.DefaultPrePipelineNanos, Probe: tr,
+	}, 2)
+	tmin := syscfg.Sched.MinTotalNanos()
+	const at = 1_000
+	srv.lanes[0].enqueue(mkQuery(1, 0, 20*tmin))
+	srv.lanes[0].work(false)
+	sibling := srv.gov.eng.Accel(0)
+	if !sibling.Busy {
+		t.Fatal("the long-deadline query was not admitted")
+	}
+	srv.lanes[1].enqueue(mkQuery(2, at, at+tmin/2))
+	srv.lanes[1].work(false)
+	srv.Drain()
+
+	st := srv.Stats()
+	if st.DeferredDeadline != 1 || st.Served != 1 {
+		t.Fatalf("stats %+v, want one served and one deadline-deferred query", st)
+	}
+	if st.DVFSSaves != 0 || st.PowerSaveRetries != 0 || tr.DVFSTransitions(sim.DVFSSave) != 0 {
+		t.Errorf("saving step ran on a deadline-infeasible decision: %d saves, %d retries",
+			st.DVFSSaves, st.PowerSaveRetries)
+	}
+	for _, e := range tr.QueryEvents() {
+		if e.Kind == sim.QueryComplete && e.DoneNanos != sibling.DoneNanos {
+			t.Errorf("sibling completed at %d ns, projected %d ns", e.DoneNanos, sibling.DoneNanos)
+		}
+	}
+	view := sched.BusyViewAt(0, sibling.DVFS, 1, 20*tmin, sibling.DoneNanos, at)
+	if len(sched.SavePower(&syscfg.Sched, []sched.BusyAccel{view}, nil)) == 0 {
+		t.Fatal("vacuous: the sibling had no slack for the saving step to use")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"lighttrader/internal/cgra"
 	"lighttrader/internal/core"
 	"lighttrader/internal/latency"
 	"lighttrader/internal/sbe"
@@ -49,14 +48,15 @@ type lane struct {
 	cond        *sync.Cond
 	queue       []query
 	lastArrival int64
-	// busyNanos accumulates the modelled service time of this lane (Σ issued
-	// t_total plus any governor retimes) — the per-accelerator makespan
-	// input of the throughput model.
-	busyNanos int64
-	// freeNanos is the modelled completion time of the last issued batch —
-	// the earliest instant the lane's modelled accelerator is free again
-	// (modelled-clock admission starts the next decision there).
-	freeNanos int64
+	// batch is the in-flight batch and batchTier its model tier, held from
+	// admission until the batch retires — under the governor's lock with a
+	// scheduling config, since in modelled time any lane may retire it.
+	batch     []query
+	batchTier int
+	// wake is the batch's completion as planned at admission. In modelled
+	// time the lane's next decision waits for it even if a later cross-lane
+	// scale-up retires the batch earlier (governor's lock).
+	wake int64
 	// savedAt is the decision instant whose power-saving retry has been
 	// spent; the governor runs the saving step at most once per instant,
 	// mirroring the simulator's once-per-schedule-call flag.
@@ -107,15 +107,6 @@ func (l *lane) minDeadlineFor(n int) int64 {
 	return min
 }
 
-// startState mirrors core.System: the floor state under DVFS scheduling
-// (idle lanes park low), the static Table III point otherwise.
-func startState(cfg *sched.Config) cgra.DVFSState {
-	if cfg.DVFSScheduling {
-		return cfg.Spec.DVFSTable()[0]
-	}
-	return cfg.StaticDVFS
-}
-
 // enqueue appends a query and wakes the worker. A full queue either blocks
 // the submitter until the lane catches up (backpressure) or evicts the
 // lane's oldest query (stale-tensor management), per Config.Backpressure.
@@ -140,7 +131,7 @@ func (l *lane) enqueue(q query) {
 		l.queue = l.queue[1:]
 		l.srv.queued.Add(-1)
 		l.srv.stats.evicted.Add(1)
-		l.srv.probe.query(sim.QueryEvent{
+		l.srv.probe.OnQueryEvent(sim.QueryEvent{
 			TimeNanos: q.arrival, Kind: sim.QueryEvict,
 			Query: simQuery(old), Accel: -1,
 		})
@@ -163,25 +154,16 @@ func (l *lane) close() {
 	l.cond.Broadcast()
 }
 
-// work is the lane goroutine: take a feasible batch, process it, repeat.
-func (l *lane) work() {
+// work takes feasible batches and processes them until the lane closes
+// (wait: the worker goroutine) or its queue is empty or held (inline
+// dispatch).
+func (l *lane) work(wait bool) {
 	for {
-		batch, issue, tier, now, ok := l.take(true)
+		batch, _, tier, now, ok := l.take(wait)
 		if !ok {
 			return
 		}
-		l.process(batch, issue, tier, now)
-	}
-}
-
-// dispatchAll drains the queue synchronously (inline mode).
-func (l *lane) dispatchAll() {
-	for {
-		batch, issue, tier, now, ok := l.take(false)
-		if !ok {
-			return
-		}
-		l.process(batch, issue, tier, now)
+		l.process(batch, tier, now)
 	}
 }
 
@@ -203,24 +185,20 @@ func clearQueue(qs []query) {
 	}
 }
 
-// take blocks (when wait is true) until it can hand the caller a batch to
-// process, applying Algorithm 1 online: over-deadline and infeasible
-// queries are dropped with per-cause accounting until either a feasible
-// (dvfs, batch) candidate exists or the queue runs dry. Admission runs
-// through the server's power governor, which makes the decision and its
-// power commitment one transaction, retries power-infeasible decisions
-// after Algorithm 2's saving step, and — with a degrade ladder configured —
-// re-runs still-infeasible decisions against the cheaper tiers before the
-// oldest query is dropped. Returns the admitted model tier (0 = primary)
-// and ok=false when the lane is closed (worker mode) or the queue is empty
-// or held (inline).
+// take blocks (when wait is true) until it can move a batch into flight
+// (l.batch, also returned) for the caller to process. Admission runs
+// through the server's governor; queries no candidate can serve, even
+// after the saving step and the degrade ladder, are dropped with per-cause
+// accounting until a batch issues or the queue runs dry. Returns the
+// admitted model tier (0 = primary) and ok=false when the lane is closed
+// (worker mode) or the queue is empty or held (inline).
 //
 // Under the modelled clock the decision instant is max(oldest arrival,
 // modelled free time) and only queries that have arrived by then join the
 // batch; a decision lying beyond the newest submitted arrival is held until
 // the logical clock catches up (or Drain flushes).
 func (l *lane) take(wait bool) (batch []query, issue sched.Issue, tier int, now int64, ok bool) {
-	cfg := l.srv.cfg.Sched
+	gov := l.srv.gov
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for {
@@ -232,18 +210,7 @@ func (l *lane) take(wait bool) (batch []query, issue sched.Issue, tier int, now 
 			now = l.now()
 			arrived := len(l.queue)
 			if l.srv.cfg.ModelledClock {
-				if cfg != nil {
-					// Governor DVFS changes retime the lane's last batch after
-					// process recorded it; the decision instant tracks the
-					// retimed completion.
-					if free := l.srv.gov.projectedDone(l.id); free > l.freeNanos {
-						l.freeNanos = free
-					}
-				}
-				now = l.queue[0].arrival
-				if l.freeNanos > now {
-					now = l.freeNanos
-				}
+				now = max(l.queue[0].arrival, gov.freeAt(l))
 				if now > l.lastArrival && !l.flushing && !l.closed {
 					break // hold: the decision lies beyond the logical clock
 				}
@@ -252,38 +219,31 @@ func (l *lane) take(wait bool) (batch []query, issue sched.Issue, tier int, now 
 					arrived++
 				}
 			}
-			if cfg == nil {
+			if gov.eng == nil {
 				// No admission: serve the arrived backlog as one batch.
-				batch = append(batch, l.queue[:arrived]...)
+				l.hold(arrived, 0)
+				l.probeIssue(now, now+l.srv.cfg.PrePipelineNanos)
 				clearQueue(l.queue[:arrived])
 				l.queue = l.queue[arrived:]
-				l.srv.queued.Add(-int64(len(batch)))
-				issue = sched.Issue{Batch: len(batch), TotalNanos: 0}
+				l.srv.queued.Add(-int64(arrived))
 				l.inflight = true
-				return batch, issue, 0, now, true
+				return l.batch, sched.Issue{Batch: arrived}, 0, now, true
 			}
 			oldest := l.queue[0]
 			avail := oldest.deadline - now - l.srv.cfg.PrePipelineNanos
-			res := l.srv.gov.admit(l.id, now, arrived, avail, l.policy, l.tiers,
-				l.deadlineFn, now != l.savedAt)
-			if res.saved {
+			res := gov.admit(l, now, arrived, avail, now != l.savedAt)
+			if res.Saved {
 				l.savedAt = now
 			}
-			var verdict sched.Verdict
-			issue, verdict = res.issue, res.verdict
-			if verdict == sched.VerdictIssued || verdict == sched.VerdictDegradedModel {
-				if verdict == sched.VerdictDegradedModel {
-					l.srv.probe.query(sim.QueryEvent{
-						TimeNanos: now, Kind: sim.QueryDegrade, Query: simQuery(oldest),
-						Accel: l.id, Batch: issue.Batch, Tier: res.tier,
-					})
-				}
-				batch = append(batch, l.queue[:issue.Batch]...)
-				clearQueue(l.queue[:issue.Batch])
-				l.queue = l.queue[issue.Batch:]
-				l.srv.queued.Add(-int64(len(batch)))
+			if res.Admitted {
+				clearQueue(l.queue[:res.Issue.Batch])
+				l.queue = l.queue[res.Issue.Batch:]
+				l.srv.queued.Add(-int64(res.Issue.Batch))
 				l.inflight = true
-				return batch, issue, res.tier, now, true
+				return l.batch, res.Issue, res.Tier, now, true
+			}
+			if res.Verdict == sched.VerdictNoQueue {
+				continue // the previous batch is still in flight
 			}
 			// No feasible candidate for the oldest query: drop it, attribute
 			// the cause, and retry with the next. The drop frees queue space,
@@ -294,15 +254,15 @@ func (l *lane) take(wait bool) (batch []query, issue sched.Issue, tier int, now 
 			l.queue = l.queue[1:]
 			l.srv.queued.Add(-1)
 			l.cond.Broadcast()
-			switch verdict {
+			switch res.Verdict {
 			case sched.VerdictPowerInfeasible:
 				l.srv.stats.deferredPower.Add(1)
 			default:
 				l.srv.stats.deferredDeadline.Add(1)
 			}
-			l.srv.probe.query(sim.QueryEvent{
+			l.srv.probe.OnQueryEvent(sim.QueryEvent{
 				TimeNanos: now, Kind: sim.QueryDefer, Query: simQuery(oldest),
-				Accel: -1, Cause: verdict.DeferCause(),
+				Accel: -1, Cause: res.Verdict.DeferCause(),
 			})
 		}
 		if l.closed || !wait {
@@ -312,24 +272,12 @@ func (l *lane) take(wait bool) (batch []query, issue sched.Issue, tier int, now 
 	}
 }
 
-// process runs one issued batch through the lane's pipelines and accounts
-// the completions. The modelled completion time is now + pre-pipeline +
-// t_total from the latency tables (the issuing tier's tables for a degraded
-// batch), retimed by any governor DVFS changes the batch received in
-// flight; under a wall clock, completion is re-checked against the deadline
-// so real-time overruns surface as late responses. A non-zero tier switches
-// the pipelines' forward pass to the ladder model before dispatch.
-func (l *lane) process(batch []query, issue sched.Issue, tier int, now int64) {
-	done := now + l.srv.cfg.PrePipelineNanos + issue.TotalNanos
-	if l.srv.probe.active() {
-		for _, q := range batch {
-			l.srv.probe.query(sim.QueryEvent{
-				TimeNanos: now, Kind: sim.QueryIssue, Query: simQuery(q),
-				Accel: l.id, Batch: len(batch), DoneNanos: done, Tier: tier,
-			})
-		}
-	}
-
+// process runs the in-flight batch through the lane's pipelines, on the
+// ladder model for a non-zero tier. The batch is accounted when it
+// retires: here in live serving, where the dispatch finishing IS the
+// completion, and under the modelled clock when the governor's event clock
+// passes its final, retimed completion.
+func (l *lane) process(batch []query, tier int, now int64) {
 	start := time.Now()
 	l.procMu.Lock()
 	if tier != l.curTier {
@@ -358,47 +306,63 @@ func (l *lane) process(batch []query, issue sched.Issue, tier int, now int64) {
 	}
 	l.procMu.Unlock()
 
-	modelledDone := done
-	if l.srv.cfg.Sched != nil {
-		if l.srv.cfg.ModelledClock {
-			// The batch completes on modelled time, possibly retimed by
-			// governor DVFS changes since issue; its power is released
-			// lazily when the governor's event clock passes the completion
-			// (retireDue), not here — the wall-clock dispatch finishing
-			// carries no modelled meaning.
-			modelledDone = l.srv.gov.projectedDone(l.id)
-		} else {
-			// Live serving: the dispatch finishing IS the completion.
-			// Retire through the governor: park at the floor under DVFS
-			// scheduling and spend the freed budget on still-busy lanes.
-			modelledDone = l.srv.gov.retire(l.id)
-		}
-		done = modelledDone
+	switch {
+	case l.srv.gov.eng == nil:
+		l.complete(now+l.srv.cfg.PrePipelineNanos, 0, 0)
+	case !l.srv.cfg.ModelledClock:
+		l.srv.gov.retire(l)
 	}
+
+	l.mu.Lock()
+	l.inflight = false
+	l.mu.Unlock()
+	l.cond.Broadcast()
+}
+
+// hold moves the first n queued queries into flight as l.batch, admitted
+// against model tier tier. Callers hold l.mu (and, with a scheduling
+// config, the governor's lock).
+func (l *lane) hold(n, tier int) {
+	clearQueue(l.batch)
+	l.batch, l.batchTier = append(l.batch[:0], l.queue[:n]...), tier
+}
+
+// probeIssue reports the in-flight batch's issue at now with its projected
+// completion done.
+func (l *lane) probeIssue(now, done int64) {
+	if !l.srv.probe.active() {
+		return
+	}
+	for _, q := range l.batch {
+		l.srv.probe.OnQueryEvent(sim.QueryEvent{
+			TimeNanos: now, Kind: sim.QueryIssue, Query: simQuery(q),
+			Accel: l.id, Batch: len(l.batch), DoneNanos: done, Tier: l.batchTier,
+		})
+	}
+}
+
+// complete accounts the retired batch at its final modelled completion done
+// (under a wall Clock, at the clock's now): each query is served or late
+// against its deadline, and busy/watts is the load the sample reports.
+// With a scheduling config callers hold the governor's lock.
+func (l *lane) complete(done int64, busy int, watts float64) {
 	if l.srv.cfg.Clock != nil {
 		done = l.srv.cfg.Clock()
 	}
-	for _, q := range batch {
+	for _, q := range l.batch {
 		if done > q.deadline {
 			l.srv.stats.late.Add(1)
 		} else {
 			l.srv.stats.served.Add(1)
 		}
-		l.srv.probe.query(sim.QueryEvent{
+		l.srv.probe.OnQueryEvent(sim.QueryEvent{
 			TimeNanos: done, Kind: sim.QueryComplete, Query: simQuery(q),
-			Accel: l.id, Batch: len(batch), DoneNanos: done, Tier: tier,
+			Accel: l.id, Batch: len(l.batch), DoneNanos: done, Tier: l.batchTier,
 		})
 	}
 	l.srv.stats.batches.Add(1)
-	l.srv.stats.batchSum.Add(int64(len(batch)))
-	l.srv.sample(done)
-
-	l.mu.Lock()
-	l.busyNanos += modelledDone - now - l.srv.cfg.PrePipelineNanos
-	l.freeNanos = modelledDone
-	l.inflight = false
-	l.mu.Unlock()
-	l.cond.Broadcast()
+	l.srv.stats.batchSum.Add(int64(len(l.batch)))
+	l.srv.sample(done, busy, watts)
 }
 
 // advance moves the lane's logical clock to now and (inline modelled mode)
@@ -411,7 +375,7 @@ func (l *lane) advance(now int64) {
 		l.lastArrival = now
 	}
 	l.mu.Unlock()
-	l.dispatchAll()
+	l.work(false)
 }
 
 // drain blocks until the lane's queue is empty and no batch is in flight.

@@ -8,15 +8,14 @@ import (
 	"lighttrader/internal/sim"
 )
 
-// sample emits a load observation to the probe after a dispatch, mirroring
-// the simulator's post-scheduling samples. Lane draws are read from the
-// power governor, the single owner of the runtime's power accounting.
-func (s *Server) sample(now int64) {
+// sample emits a load observation to the probe after a batch retires,
+// mirroring the simulator's post-scheduling samples; busy and watts come
+// from the governor's engine, the single owner of the power ledger.
+func (s *Server) sample(now int64, busy int, watts float64) {
 	if !s.probe.active() {
 		return
 	}
-	busy, watts := s.gov.load()
-	s.probe.sampleEv(sim.Sample{
+	s.probe.OnSample(sim.Sample{
 		TimeNanos:  now,
 		QueueDepth: int(s.queued.Load()),
 		BusyAccels: busy,
@@ -140,7 +139,8 @@ func (c *stats) snapshot() Stats {
 // lockedProbe serialises probe callbacks from concurrent lanes: the
 // sim.Probe contract promises single-goroutine delivery, which the
 // runtime restores with a mutex. Events stay ordered per lane but may
-// interleave across lanes out of timestamp order.
+// interleave across lanes out of timestamp order. A nil inner probe makes
+// it a no-op.
 type lockedProbe struct {
 	mu sync.Mutex
 	p  sim.Probe
@@ -150,7 +150,7 @@ func newLockedProbe(p sim.Probe) *lockedProbe { return &lockedProbe{p: p} }
 
 func (lp *lockedProbe) active() bool { return lp.p != nil }
 
-func (lp *lockedProbe) query(e sim.QueryEvent) {
+func (lp *lockedProbe) OnQueryEvent(e sim.QueryEvent) {
 	if lp.p == nil {
 		return
 	}
@@ -159,7 +159,7 @@ func (lp *lockedProbe) query(e sim.QueryEvent) {
 	lp.mu.Unlock()
 }
 
-func (lp *lockedProbe) dvfs(e sim.DVFSEvent) {
+func (lp *lockedProbe) OnDVFSEvent(e sim.DVFSEvent) {
 	if lp.p == nil {
 		return
 	}
@@ -168,7 +168,7 @@ func (lp *lockedProbe) dvfs(e sim.DVFSEvent) {
 	lp.mu.Unlock()
 }
 
-func (lp *lockedProbe) sampleEv(e sim.Sample) {
+func (lp *lockedProbe) OnSample(e sim.Sample) {
 	if lp.p == nil {
 		return
 	}

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -262,7 +263,7 @@ func New(mp *core.MultiPipeline, cfg Config) (*Server, error) {
 				if m == nil {
 					continue
 				}
-				if !shapeEq(m.InputShape, p.Model().InputShape) {
+				if !slices.Equal(m.InputShape, p.Model().InputShape) {
 					return nil, fmt.Errorf("serve: tier %d model %s expects input %v, pipeline %s feeds %v (zoo variants crop lookback inside the network)",
 						i+1, m.ModelName, m.InputShape, p.Symbol(), p.Model().InputShape)
 				}
@@ -319,7 +320,7 @@ func (s *Server) Run(ctx context.Context) error {
 			s.done.Add(1)
 			go func(l *lane) {
 				defer s.done.Done()
-				l.work()
+				l.work(true)
 			}(l)
 		}
 	}
@@ -370,7 +371,7 @@ func (s *Server) submit(arrivalNanos int64, pkt sbe.Packet) {
 			deadline: deadline,
 		}
 		s.stats.submitted.Add(1)
-		s.probe.query(sim.QueryEvent{
+		s.probe.OnQueryEvent(sim.QueryEvent{
 			TimeNanos: arrivalNanos, Kind: sim.QueryArrive,
 			Query: simQuery(q), Accel: -1,
 		})
@@ -382,7 +383,7 @@ func (s *Server) submit(arrivalNanos int64, pkt sbe.Packet) {
 		}
 		l.enqueue(q)
 		if s.Inline() {
-			l.dispatchAll()
+			l.work(false)
 		}
 	}
 }
@@ -500,7 +501,7 @@ func (s *Server) Drain() {
 			l.mu.Lock()
 			l.flushing = true
 			l.mu.Unlock()
-			l.dispatchAll()
+			l.work(false)
 			l.mu.Lock()
 			l.flushing = false
 			l.mu.Unlock()
@@ -571,23 +572,7 @@ func (s *Server) OnExecReport(rep exchange.ExecReport) {
 // signal gateway attached, the signal-distribution counters are too.
 func (s *Server) Stats() Stats {
 	st := s.stats.snapshot()
-	if s.gov.cfg != nil {
-		gc := s.gov.counters()
-		st.PowerSaveRetries = int(gc.retries)
-		st.PowerSaveRescues = int(gc.rescues)
-		st.DVFSSaves = int(gc.saves)
-		st.DVFSRedistributes = int(gc.redistributes)
-		st.DVFSParks = int(gc.parks)
-		st.DVFSSwitches = int(gc.switches)
-		st.MaxPowerWatts = gc.maxDraw
-		st.Degrades = int(gc.degrades)
-		if gc.tierIssues != nil {
-			st.TierIssues = make([]int, len(gc.tierIssues))
-			for i, n := range gc.tierIssues {
-				st.TierIssues[i] = int(n)
-			}
-		}
-	}
+	s.gov.fold(&st)
 	if s.cfg.Signals != nil {
 		gs := s.cfg.Signals.Stats()
 		st.SignalsPublished = gs.Published
@@ -612,15 +597,18 @@ func (s *Server) Latency() latency.Summary {
 }
 
 // ModelledBusyNanos returns each lane's accumulated modelled service time
-// (Σ t_total of issued batches, per the sched latency tables). The maximum
-// entry is the modelled makespan of the replay; the modelled serving
-// throughput is queries served / makespan. Zero without a scheduling config.
+// (Σ done − issue − pre-pipeline over retired batches, per the sched latency
+// tables and any DVFS retimes). The maximum entry is the modelled makespan
+// of the replay; the modelled serving throughput is queries served /
+// makespan. Zero without a scheduling config.
 func (s *Server) ModelledBusyNanos() []int64 {
 	out := make([]int64, len(s.lanes))
-	for i, l := range s.lanes {
-		l.mu.Lock()
-		out[i] = l.busyNanos
-		l.mu.Unlock()
+	if g := s.gov; g.eng != nil {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		for i := range out {
+			out[i] = g.eng.Accel(i).BusyNanos
+		}
 	}
 	return out
 }
@@ -628,16 +616,4 @@ func (s *Server) ModelledBusyNanos() []int64 {
 // simQuery maps a runtime query onto the probe event taxonomy.
 func simQuery(q query) sim.Query {
 	return sim.Query{ID: q.id, ArrivalNanos: q.arrival, DeadlineNanos: q.deadline}
-}
-
-func shapeEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

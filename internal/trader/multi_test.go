@@ -69,7 +69,8 @@ func TestMultiTraderLiveLoop(t *testing.T) {
 	feedDone := make(chan struct{})
 	go func() { defer close(clientDone); _ = mt.Client().Run(clientCtx) }()
 	go func() { defer close(runDone); _ = mt.Run(ctx) }()
-	go func() { defer close(feedDone); _ = mt.ServeFeed(ctx, feedConn) }()
+	feedCtx, feedCancel := context.WithCancel(ctx)
+	go func() { defer close(feedDone); _ = mt.ServeFeed(feedCtx, feedConn) }()
 
 	readyCtx, readyCancel := context.WithTimeout(ctx, 5*time.Second)
 	if err := mt.Client().WaitReady(readyCtx); err != nil {
@@ -114,6 +115,12 @@ func TestMultiTraderLiveLoop(t *testing.T) {
 	if mt.ArbiterStats().Delivered == 0 {
 		t.Fatal("nothing delivered through the arbiter")
 	}
+	// Quiesce the runtime before checking conservation: the venue's
+	// periodic snapshots keep arriving, so stop ingesting and drain the
+	// lanes, or a query still queued or in flight reads as a leak.
+	feedCancel()
+	<-feedDone
+	mt.Serve().Drain()
 	st := mt.Serve().Stats()
 	if st.Submitted == 0 || st.Orders == 0 {
 		t.Fatalf("runtime idle: %+v", st)

@@ -135,6 +135,11 @@ func (t *Trader) OnDatagram(buf []byte) error {
 		return nil
 	}
 	t.stats.OrdersRouted += len(reqs)
+	if len(reqs) > 0 {
+		// reqs aliases the feed handler's reused buffer, which the other
+		// feed's next datagram overwrites once the lock is released.
+		reqs = append([]exchange.Request(nil), reqs...)
+	}
 	t.mu.Unlock()
 	for _, req := range reqs {
 		if err := t.client.Send(req); err != nil {
